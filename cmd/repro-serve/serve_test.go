@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/pipeline"
 )
 
@@ -211,6 +212,36 @@ func TestSingleflightBatching(t *testing.T) {
 	}
 }
 
+// TestStatzListsFaultSites pins that /statz lists fault sites from the
+// registry rather than a hand-kept list: a fault fired at the per-function
+// compile site, codegen.func, shows up with its hit and fire counts.
+func TestStatzListsFaultSites(t *testing.T) {
+	disarm, err := fault.ArmSpec(fault.SiteCodegenFunc + "=error:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	ts := httptest.NewServer(newServer(2, 8, nil).handler())
+	defer ts.Close()
+
+	res, _ := post(t, ts, "", &pipeline.Request{Module: uniqueSrc(4303), Engine: "native"})
+	if res.Err == nil {
+		t.Fatal("compile succeeded with a codegen.func fault armed")
+	}
+	resp, err := ts.Client().Get(ts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statz
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := st.Faults[fault.SiteCodegenFunc]; !ok || f.Hits < 1 || f.Fired < 1 {
+		t.Errorf("/statz faults = %+v, want %s with hits and fires", st.Faults, fault.SiteCodegenFunc)
+	}
+}
+
 // busySrc runs long enough (~tens of ms) that a test can act while it is
 // in flight.
 const busySrc = `
@@ -272,7 +303,8 @@ func TestDrainCompletesInFlight(t *testing.T) {
 // TestAdmissionRejects: with one slot and a zero-depth queue, a second
 // concurrent request is turned away with 429, not queued forever.
 func TestAdmissionRejects(t *testing.T) {
-	ts := httptest.NewServer(newServer(1, 0, nil).handler())
+	srv := newServer(1, 0, nil)
+	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	release := make(chan struct{})
@@ -285,9 +317,20 @@ func TestAdmissionRejects(t *testing.T) {
 		_ = res
 		_ = code
 	}()
-	// Busy-wait for the slot to be taken, then collide with it. If the
-	// first run finishes before we get our request in, the test still
-	// passes vacuously on the retry check below, so spin fast.
+	// Wait for the busy run to hold the one slot, then collide with it: a
+	// colliding request that got there first would take the slot itself
+	// and turn the busy run away. If the busy run finishes before we get
+	// our request in, the test still passes vacuously on the retry check
+	// below, so spin fast.
+	for srv.inflight.Load() == 0 {
+		select {
+		case <-release:
+		default:
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		break
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	got429 := false
 	for time.Now().Before(deadline) {

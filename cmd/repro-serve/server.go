@@ -253,14 +253,8 @@ func (s *server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}
 	if fault.Enabled() {
 		st.Faults = map[string]faultStat{}
-		for _, site := range []string{
-			fault.SiteCompile, fault.SiteExec, fault.SiteSyscall,
-			fault.SiteStoreRead, fault.SiteStoreWrite,
-			fault.SiteRemoteGet, fault.SiteRemotePut, fault.SiteRemoteVerify,
-		} {
-			if h, f := fault.Hits(site), fault.Fired(site); h > 0 || f > 0 {
-				st.Faults[site] = faultStat{Hits: h, Fired: f}
-			}
+		for _, site := range fault.Sites() {
+			st.Faults[site] = faultStat{Hits: fault.Hits(site), Fired: fault.Fired(site)}
 		}
 	}
 	if info, ok := pipeline.RemoteState(); ok {

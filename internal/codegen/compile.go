@@ -204,10 +204,10 @@ func Compile(m *wasm.Module, cfg *EngineConfig) (*CompiledModule, error) {
 // CompileContext is Compile under a caller context. The context's role is
 // scheduler accounting: when it carries the shared scheduler's pool marker
 // (the compile was reached from inside a RunJobs job, as
-// pipeline.BuildContext arranges), the per-function fan-out skips the
+// pipeline.Compile arranges), the per-function fan-out skips the
 // best-effort self token its goroutine is already charged for. A
 // cancellable context also stops dispatching function jobs once cancelled;
-// note that Build's cache deliberately strips cancellation before calling
+// note that the pipeline's build cache deliberately strips cancellation before calling
 // this, so shared compiles are never aborted by one requester.
 func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*CompiledModule, error) {
 	start := time.Now()

@@ -22,7 +22,7 @@ import (
 	"repro/internal/x86"
 )
 
-// uopKind is the dense handler class. The dispatch switch in exec.go is
+// uopKind is the dense handler class. The dispatch switch in dispatch.go is
 // ordered identically, so it compiles to a single jump table.
 type uopKind uint8
 

@@ -1,80 +1,77 @@
 package cpu
 
-// Functional-fidelity engine: retires the same pre-decoded micro-op stream
-// as the exact engine (exec.go) and produces bit-identical architectural
-// state and exact-by-construction counters — Instructions, Loads, Stores,
-// Branches, CondBranches — but models no icache, dcache, branch predictor,
-// or cycles. That is the whole speedup: no per-instruction line compare, no
-// cache walks, no quarter-cycle accumulation, and the hot loop carries only
-// two values in locals — rip and a signed countdown to the next
-// machine-level event — so both stay enregistered across the dispatch
-// switch. Counter fields are bumped directly on m.Counters (an L1-resident
-// memory add, exactly like the exact engine) except Instructions, which is
-// reconstructed from the countdown at sync points: Instructions =
-// limit - rem, so its per-instruction cost is the decrement the loop
-// condition needs anyway.
+// Micro-op dispatch loop: the one engine that retires the pre-decoded uop
+// stream (decode.go) in every fidelity tier. The exact tier, the functional
+// tier, and all three segment kinds of the sampled tier (warm-up, detailed
+// window, fast-forward) run the same switch; they differ only in two
+// loop-invariant locals read once per chunk:
 //
-// Structure: runFunctional is the outer loop. It computes how far the inner
-// chunk may run without observing machine-level events — the segment stop
-// (stopAt, set by the sampled driver), the interrupt poll point (pollAt),
-// and the instruction budget — and funcChunk then pays exactly one
-// countdown decrement per instruction for all three. Chunk boundaries re-check the events with
-// the same semantics as the exact engine's per-instruction checks.
+//   - timed (= !m.noTime) gates the icache probe.
+//   - model (= timed || m.warm) gates the dcache and the branch predictor:
+//     charged in timed segments, warmed without timing during sampled
+//     fast-forward (see Machine.warm).
+//
+// Every quarter-cycle charge to qacc is unconditional. While noTime is set
+// FlushCycles discards qacc instead of folding it into Cycles, so untimed
+// segments never turn charges into cycles.
+//
+// Structure: runUops is the outer loop. It handles the machine-level events
+// — segment stop (stopAt, set by runSampled), instruction budget and
+// interrupt poll (pollAt) — at chunk boundaries, and computes how far chunk
+// may run before the next one. chunk then pays one countdown decrement per
+// instruction for all three. Instructions is carried as the signed
+// countdown rem = limit - Instructions and reconstructed at sync points
+// (host calls, the uSlow fallback, chunk exit); rip is carried in a local
+// and synced to m.rip before any call that can trap with m.rip or observe
+// machine state.
 //
 // Unspecialized shapes fall back to the legacy single-instruction
-// interpreter (m.exec), exactly like the exact engine's uSlow arm; the
-// noTime gates in dcache/branchTo/FlushCycles keep that path — and every
-// generic load/store — free of timing side effects.
+// interpreter (m.exec, exec_legacy.go), which applies the same noTime/warm
+// gates through dcache, branchTo and FlushCycles. The legacy loop
+// (runLegacy) stays the reference oracle the uop loop is tested against.
 
 import (
-	"repro/internal/x86"
-
 	"encoding/binary"
 	"math"
+
+	"repro/internal/x86"
 )
 
-func (m *Machine) runFunctional() error {
+// maxChunk bounds one chunk's span so the countdown fits in int64 even when
+// every limit is the ^0 "disabled" sentinel; runUops re-enters cheaply.
+const maxChunk = 1 << 30
+
+func budgetTrap(pc int) error {
+	return &TrapError{Msg: "instruction budget exhausted", PC: pc}
+}
+
+// runUops drives chunk until the program halts, traps, or reaches stopAt.
+// At stopAt it returns nil with rip (and lastILine) preserved, so re-entry
+// continues bit-identically.
+func (m *Machine) runUops() error {
 	ops := m.uops
 	for !m.halted {
-		limit := m.stopAt
-		if m.pollAt < limit {
-			limit = m.pollAt
-		}
+		n := m.Counters.Instructions
 		budget := ^uint64(0)
 		if m.MaxInstructions > 0 {
 			budget = m.MaxInstructions
-			if budget < limit {
-				limit = budget
-			}
 		}
-		// Bound the chunk span so the countdown fits comfortably in int64
-		// even when every limit is the ^0 "disabled" sentinel; the outer
-		// loop re-enters cheaply. A clamped limit is below the budget by
-		// construction, so fused pairs cannot cross the budget mid-chunk.
-		tight := budget == limit
-		const maxChunk = 1 << 30
-		if n := m.Counters.Instructions; limit-n > maxChunk {
-			limit = n + maxChunk
-			tight = false
-		}
-		if err := m.funcChunk(ops, limit, tight); err != nil {
-			m.FlushCycles()
-			return err
-		}
-		if m.halted {
-			break
-		}
-		n := m.Counters.Instructions
 		if n >= m.stopAt {
 			m.FlushCycles()
 			return nil
 		}
 		if n >= budget {
-			// Match the exact engine's budget semantics: the instruction
-			// that would exceed the budget is counted but not executed, and
-			// the trap carries its PC.
+			// The instruction that would exceed the budget is bound-checked,
+			// counted and fetched but not executed, and the trap carries its
+			// PC, exactly as in the legacy interpreter.
+			if uint(m.rip) >= uint(len(ops)) {
+				return &TrapError{Msg: "execution left code segment", PC: m.rip}
+			}
 			m.Counters.Instructions++
-			return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
+			if line := ops[m.rip].line; !m.noTime && line != m.lastILine {
+				m.ifetch(line)
+			}
+			return budgetTrap(m.rip)
 		}
 		if n >= m.pollAt {
 			m.pollAt = n + m.pollEvery
@@ -83,26 +80,50 @@ func (m *Machine) runFunctional() error {
 				return err
 			}
 		}
+		// A clamped limit is below the budget, so fused pairs cannot cross
+		// the budget mid-chunk unless the limit is the budget itself.
+		limit := min(m.stopAt, m.pollAt, budget, n+maxChunk)
+		if err := m.chunk(ops, limit, limit == budget); err != nil {
+			m.FlushCycles()
+			return err
+		}
 	}
 	m.FlushCycles()
 	return nil
 }
 
-// funcChunk retires micro-ops until Instructions reaches limit, an error
-// occurs, or the program halts. The instruction count is carried as the
-// signed countdown rem = limit - Instructions: the loop condition and the
-// per-instruction decrement are one operation, and a fused
-// compare-and-branch pair may legitimately drive it to -1 (the pair's
-// second retirement crossing the limit), which the signed exit arithmetic
-// folds back into the counter. budgetTight reports that limit IS the
-// instruction budget, so the fused arms' mid-dispatch budget check reduces
-// to a sign test. m.rip is synced before any call-out that can observe
-// machine state (host calls, the uSlow fallback, generic loads/stores that
-// trap with m.rip).
-func (m *Machine) funcChunk(ops []uop, limit uint64, budgetTight bool) error {
+// ifetch probes the instruction-cache hierarchy for a line other than the
+// last one probed. Unlike the legacy engine's lastLine (which taken
+// branches reset to force a probe), lastILine tracks the last line actually
+// probed: a repeat probe of that line is a guaranteed hit with no counter
+// or cycle effect, and dropping consecutive duplicate touches never changes
+// LRU order, so branches back into the current line skip the probe
+// bit-identically. Every cache level has 64-byte lines, so line<<6 is
+// indistinguishable from the full fetch address.
+func (m *Machine) ifetch(line uint32) {
+	m.lastILine = line
+	if m.L1I.Access(line << 6) {
+		return
+	}
+	m.Counters.L1IMisses++
+	if m.L2.Access(line << 6) {
+		m.qacc += qL1IMiss
+	} else {
+		m.qacc += qL2IMiss
+	}
+}
+
+// chunk retires micro-ops until Instructions reaches limit, an error
+// occurs, or the program halts. A fused compare-and-branch pair may drive
+// the countdown to -1 (the pair's second retirement crossing the limit),
+// which the signed exit arithmetic folds back into the counter.
+// budgetTight reports that limit IS the instruction budget, so the fused
+// arms' mid-dispatch budget check reduces to a sign test.
+func (m *Machine) chunk(ops []uop, limit uint64, budgetTight bool) error {
 	rip := m.rip
 	rem := int64(limit - m.Counters.Instructions)
-	warm := m.warm // sampled fast-forward: keep caches and BP state hot
+	timed := !m.noTime
+	model := timed || m.warm // dcache and branch predictor
 	var err error
 
 loop:
@@ -113,6 +134,9 @@ loop:
 		}
 		u := &ops[rip]
 		rem--
+		if timed && u.line != m.lastILine {
+			m.ifetch(u.line)
+		}
 
 		switch u.kind {
 		case uSlow:
@@ -178,12 +202,12 @@ loop:
 		case uExtM:
 			a := m.uea(u)
 			w := extWidth[u.alu]
+			var v uint64
 			if s, off, ok := m.fastSlab(a, uint32(w)); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				var v uint64
 				switch w {
 				case 1:
 					v = uint64(s[off])
@@ -192,25 +216,18 @@ loop:
 				default:
 					v = uint64(binary.LittleEndian.Uint32(s[off:]))
 				}
-				v = extend(v, u.alu)
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				rip++
 			} else {
 				m.rip = rip
-				var v uint64
 				if v, err = m.load(a, w); err != nil {
 					break loop
 				}
-				v = extend(v, u.alu)
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				rip++
 			}
+			v = extend(v, u.alu)
+			if u.w == 4 {
+				v = uint64(uint32(v))
+			}
+			m.Regs[u.dst] = v
+			rip++
 
 		case uLea:
 			v := uint64(m.uea(u))
@@ -221,37 +238,34 @@ loop:
 			rip++
 
 		case uAluRR:
-			m.Regs[u.dst] = funcAluOp(u, m.Regs[u.dst], m.Regs[u.src])
+			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], m.Regs[u.src])
 			rip++
 
 		case uAluRI:
-			m.Regs[u.dst] = funcAluOp(u, m.Regs[u.dst], u.imm)
+			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], u.imm)
 			rip++
 
 		case uAluRM:
 			a := m.uea(u)
+			var b uint64
 			if s, off, ok := m.fastSlab(a, uint32(u.w)); ok && u.w >= 4 {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				var b uint64
 				if u.w == 4 {
 					b = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
 					b = binary.LittleEndian.Uint64(s[off:])
 				}
-				m.Regs[u.dst] = funcAluOp(u, m.Regs[u.dst], b)
-				rip++
 			} else {
 				m.rip = rip
-				var b uint64
 				if b, err = m.load(a, u.w); err != nil {
 					break loop
 				}
-				m.Regs[u.dst] = funcAluOp(u, m.Regs[u.dst], b)
-				rip++
 			}
+			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], b)
+			rip++
 
 		case uAluMR:
 			m.rip = rip
@@ -260,7 +274,7 @@ loop:
 			if a, err = m.load(ea, u.w); err != nil {
 				break loop
 			}
-			if err = m.store(ea, u.w, funcAluOp(u, a, m.Regs[u.src])); err != nil {
+			if err = m.store(ea, u.w, m.aluOp(u, a, m.Regs[u.src])); err != nil {
 				break loop
 			}
 			rip++
@@ -272,7 +286,7 @@ loop:
 			if a, err = m.load(ea, u.w); err != nil {
 				break loop
 			}
-			if err = m.store(ea, u.w, funcAluOp(u, a, u.imm)); err != nil {
+			if err = m.store(ea, u.w, m.aluOp(u, a, u.imm)); err != nil {
 				break loop
 			}
 			rip++
@@ -356,28 +370,25 @@ loop:
 
 		case uCmpRM:
 			a := m.uea(u)
+			var b uint64
 			if s, off, ok := m.fastSlab(a, uint32(u.w)); ok && u.w >= 4 {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				var b uint64
 				if u.w == 4 {
 					b = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
 					b = binary.LittleEndian.Uint64(s[off:])
 				}
-				m.setCmpFlags(m.Regs[u.dst], b, u.w)
-				rip++
 			} else {
 				m.rip = rip
-				var b uint64
 				if b, err = m.load(a, u.w); err != nil {
 					break loop
 				}
-				m.setCmpFlags(m.Regs[u.dst], b, u.w)
-				rip++
 			}
+			m.setCmpFlags(m.Regs[u.dst], b, u.w)
+			rip++
 
 		case uCmpMR:
 			m.rip = rip
@@ -435,16 +446,23 @@ loop:
 			}
 			rip++
 
+		// Branch kinds inline the unconditional branchTo body. The legacy
+		// engine's lastLine reset is not needed here: the uop loop tracks
+		// the last probed line (lastILine), which branches must not
+		// disturb.
 		case uJmp:
 			m.Counters.Branches++
+			m.qacc += qBranch
 			rip = int(u.tgt)
 
 		case uJcc:
 			m.Counters.Branches++
 			m.Counters.CondBranches++
+			m.qacc += qBranch
 			taken := m.cc(u.cc)
-			if warm && !m.BP.Predict(uint32(u.imm), taken) {
+			if model && !m.BP.Predict(uint32(u.imm), taken) {
 				m.Counters.BranchMiss++
+				m.qacc += qMispred
 			}
 			if taken {
 				rip = int(u.tgt)
@@ -460,7 +478,9 @@ loop:
 				break loop
 			}
 			m.Counters.Loads++ // table entry fetch
+			m.qacc += qLoad
 			m.Counters.Branches++
+			m.qacc += qBranch
 			rip = targets[idx]
 
 		case uCall:
@@ -468,8 +488,8 @@ loop:
 			a := uint32(m.Regs[x86.RSP])
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint64(s[off:], uint64(rip+1))
 			} else {
@@ -479,6 +499,7 @@ loop:
 				}
 			}
 			m.Counters.Branches++
+			m.qacc += qBranch
 			rip = int(u.tgt)
 
 		case uCallR, uCallM:
@@ -499,8 +520,8 @@ loop:
 			a := uint32(m.Regs[x86.RSP])
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint64(s[off:], uint64(rip+1))
 			} else {
@@ -510,6 +531,7 @@ loop:
 				}
 			}
 			m.Counters.Branches++
+			m.qacc += qBranch
 			rip = int(t)
 
 		case uRet:
@@ -517,8 +539,8 @@ loop:
 			var ra uint64
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				ra = binary.LittleEndian.Uint64(s[off:])
 			} else {
@@ -533,6 +555,7 @@ loop:
 				m.halted = true
 				break loop
 			}
+			m.qacc += qBranch
 			rip = int(ra)
 
 		case uPushR:
@@ -540,18 +563,17 @@ loop:
 			a := uint32(m.Regs[x86.RSP])
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
-				rip++
 			} else {
 				m.rip = rip
 				if err = m.store(a, 8, m.Regs[u.src]); err != nil {
 					break loop
 				}
-				rip++
 			}
+			rip++
 
 		case uPushI:
 			m.rip = rip
@@ -575,24 +597,22 @@ loop:
 
 		case uPop:
 			a := uint32(m.Regs[x86.RSP])
+			var v uint64
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				m.Regs[x86.RSP] += 8
-				m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				rip++
+				v = binary.LittleEndian.Uint64(s[off:])
 			} else {
 				m.rip = rip
-				var v uint64
 				if v, err = m.load(a, 8); err != nil {
 					break loop
 				}
-				m.Regs[x86.RSP] += 8
-				m.Regs[u.dst] = v
-				rip++
 			}
+			m.Regs[x86.RSP] += 8
+			m.Regs[u.dst] = v
+			rip++
 
 		case uUd2:
 			err = &TrapError{Msg: "unreachable executed (ud2)", PC: rip}
@@ -604,6 +624,7 @@ loop:
 				break loop
 			}
 			m.Counters.Branches++
+			m.qacc += qCallHost
 			// Host handlers (syscalls, perf hooks) observe machine state:
 			// sync rip and the count before the call.
 			m.rip = rip
@@ -634,35 +655,33 @@ loop:
 			rip++
 
 		case uFAluRR:
-			m.Xmm[u.dst] = bitsOf(funcFAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w)), u.w)
+			m.Xmm[u.dst] = bitsOf(m.fAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w)), u.w)
 			rip++
 
 		case uFAluRM:
 			a := m.uea(u)
+			var bv uint64
 			if s, off, ok := m.fastSlab(a, uint32(u.w)); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				var bv uint64
 				if u.w == 4 {
 					bv = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
 					bv = binary.LittleEndian.Uint64(s[off:])
 				}
-				m.Xmm[u.dst] = bitsOf(funcFAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(bv, u.w)), u.w)
-				rip++
 			} else {
 				m.rip = rip
-				var bv uint64
 				if bv, err = m.load(a, u.w); err != nil {
 					break loop
 				}
-				m.Xmm[u.dst] = bitsOf(funcFAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(bv, u.w)), u.w)
-				rip++
 			}
+			m.Xmm[u.dst] = bitsOf(m.fAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(bv, u.w)), u.w)
+			rip++
 
 		case uSqrtR:
+			m.qacc += qFSqrt
 			m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(m.Xmm[u.src], u.w)), u.w)
 			rip++
 
@@ -672,6 +691,7 @@ loop:
 			if bv, err = m.load(m.uea(u), u.w); err != nil {
 				break loop
 			}
+			m.qacc += qFSqrt
 			m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(bv, u.w)), u.w)
 			rip++
 
@@ -690,6 +710,7 @@ loop:
 			rip++
 
 		case uCvtSI2SDR:
+			m.qacc += qCvt
 			m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(m.Regs[u.src], u.w, u.uns))
 			rip++
 
@@ -699,6 +720,7 @@ loop:
 			if v, err = m.load(m.uea(u), u.w); err != nil {
 				break loop
 			}
+			m.qacc += qCvt
 			m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(v, u.w, u.uns))
 			rip++
 
@@ -725,6 +747,7 @@ loop:
 			rip++
 
 		case uCvtSD2SSR:
+			m.qacc += qCvt
 			m.Xmm[u.dst] = cvtSD2SS(m.Xmm[u.src])
 			rip++
 
@@ -734,10 +757,12 @@ loop:
 			if bv, err = m.load(m.uea(u), 8); err != nil {
 				break loop
 			}
+			m.qacc += qCvt
 			m.Xmm[u.dst] = cvtSD2SS(bv)
 			rip++
 
 		case uCvtSS2SDR:
+			m.qacc += qCvt
 			m.Xmm[u.dst] = cvtSS2SD(m.Xmm[u.src])
 			rip++
 
@@ -747,6 +772,7 @@ loop:
 			if bv, err = m.load(m.uea(u), 4); err != nil {
 				break loop
 			}
+			m.qacc += qCvt
 			m.Xmm[u.dst] = cvtSS2SD(bv)
 			rip++
 
@@ -788,6 +814,7 @@ loop:
 			rip++
 
 		case uRoundR:
+			m.qacc += qCvt
 			m.Xmm[u.dst] = bitsOf(roundMode(f64of(m.Xmm[u.src], u.w), u.alu), u.w)
 			rip++
 
@@ -797,166 +824,170 @@ loop:
 			if bv, err = m.load(m.uea(u), u.w); err != nil {
 				break loop
 			}
+			m.qacc += qCvt
 			m.Xmm[u.dst] = bitsOf(roundMode(f64of(bv, u.w), u.alu), u.w)
 			rip++
 
+		// Width-specialized memory kinds: the whole linear-memory fast path
+		// (bounds check, retired-access counter, dcache memo, fixed-width
+		// access) is inlined here; anything outside linear memory falls back
+		// to the generic load/store with identical semantics.
 		case uMovLoad64:
 			a := m.uea(u)
+			var v uint64
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				rip++
+				v = binary.LittleEndian.Uint64(s[off:])
 			} else {
 				m.rip = rip
-				var v uint64
 				if v, err = m.load(a, 8); err != nil {
 					break loop
 				}
-				m.Regs[u.dst] = v
-				rip++
 			}
+			m.Regs[u.dst] = v
+			rip++
 
 		case uMovLoad32:
 			a := m.uea(u)
+			var v uint64
 			if s, off, ok := m.fastSlab(a, 4); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				m.Regs[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				rip++
+				v = uint64(binary.LittleEndian.Uint32(s[off:]))
 			} else {
 				m.rip = rip
-				var v uint64
 				if v, err = m.load(a, 4); err != nil {
 					break loop
 				}
-				m.Regs[u.dst] = v
-				rip++
 			}
+			m.Regs[u.dst] = v
+			rip++
 
 		case uMovStore64:
 			a := m.uea(u)
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
-				rip++
 			} else {
 				m.rip = rip
 				if err = m.store(a, 8, m.Regs[u.src]); err != nil {
 					break loop
 				}
-				rip++
 			}
+			rip++
 
 		case uMovStore32:
 			a := m.uea(u)
 			if s, off, ok := m.fastSlab(a, 4); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint32(s[off:], uint32(m.Regs[u.src]))
-				rip++
 			} else {
 				m.rip = rip
 				if err = m.store(a, 4, m.Regs[u.src]); err != nil {
 					break loop
 				}
-				rip++
 			}
+			rip++
 
 		case uFLoad64:
 			a := m.uea(u)
+			var v uint64
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				m.Xmm[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				rip++
+				v = binary.LittleEndian.Uint64(s[off:])
 			} else {
 				m.rip = rip
-				var v uint64
 				if v, err = m.load(a, 8); err != nil {
 					break loop
 				}
-				m.Xmm[u.dst] = v
-				rip++
 			}
+			m.Xmm[u.dst] = v
+			rip++
 
 		case uFLoad32:
 			a := m.uea(u)
+			var v uint64
 			if s, off, ok := m.fastSlab(a, 4); ok {
 				m.Counters.Loads++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
-				m.Xmm[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				rip++
+				v = uint64(binary.LittleEndian.Uint32(s[off:]))
 			} else {
 				m.rip = rip
-				var v uint64
 				if v, err = m.load(a, 4); err != nil {
 					break loop
 				}
-				m.Xmm[u.dst] = v
-				rip++
 			}
+			m.Xmm[u.dst] = v
+			rip++
 
 		case uFStore64:
 			a := m.uea(u)
 			if s, off, ok := m.fastSlab(a, 8); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint64(s[off:], m.Xmm[u.src])
-				rip++
 			} else {
 				m.rip = rip
 				if err = m.store(a, 8, m.Xmm[u.src]); err != nil {
 					break loop
 				}
-				rip++
 			}
+			rip++
 
 		case uFStore32:
 			a := m.uea(u)
 			if s, off, ok := m.fastSlab(a, 4); ok {
 				m.Counters.Stores++
-				if warm {
-					m.dwarm(a)
+				if model {
+					m.dcharge(a)
 				}
 				binary.LittleEndian.PutUint32(s[off:], uint32(m.Xmm[u.src]))
-				rip++
 			} else {
 				m.rip = rip
 				if err = m.store(a, 4, m.Xmm[u.src]); err != nil {
 					break loop
 				}
-				rip++
 			}
+			rip++
 
+		// Fused compare-and-branch pairs retire two instructions in one
+		// dispatch. The branch half's fetch is a guaranteed same-line skip
+		// (decode fuses only within one icache line); its real address, for
+		// the predictor, is in disp. When the budget expires at the branch,
+		// rip advances to it so the trap carries the PC the unfused
+		// instruction stream would report.
 		case uCmpRRJcc:
 			m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			rem--
-			if budgetTight && rem < 0 {
+			if rem--; budgetTight && rem < 0 {
+				err = budgetTrap(rip + 1)
 				rip++
-				err = &TrapError{Msg: "instruction budget exhausted", PC: rip}
 				break loop
 			}
 			m.Counters.Branches++
 			m.Counters.CondBranches++
+			m.qacc += qBranch
 			taken := m.cc(u.cc)
-			if warm && !m.BP.Predict(uint32(u.disp), taken) {
+			if model && !m.BP.Predict(uint32(u.disp), taken) {
 				m.Counters.BranchMiss++
+				m.qacc += qMispred
 			}
 			if taken {
 				rip = int(u.tgt)
@@ -966,17 +997,18 @@ loop:
 
 		case uCmpRIJcc:
 			m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
-			rem--
-			if budgetTight && rem < 0 {
+			if rem--; budgetTight && rem < 0 {
+				err = budgetTrap(rip + 1)
 				rip++
-				err = &TrapError{Msg: "instruction budget exhausted", PC: rip}
 				break loop
 			}
 			m.Counters.Branches++
 			m.Counters.CondBranches++
+			m.qacc += qBranch
 			taken := m.cc(u.cc)
-			if warm && !m.BP.Predict(uint32(u.disp), taken) {
+			if model && !m.BP.Predict(uint32(u.disp), taken) {
 				m.Counters.BranchMiss++
+				m.qacc += qMispred
 			}
 			if taken {
 				rip = int(u.tgt)
@@ -986,17 +1018,18 @@ loop:
 
 		case uTestRRJcc:
 			m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			rem--
-			if budgetTight && rem < 0 {
+			if rem--; budgetTight && rem < 0 {
+				err = budgetTrap(rip + 1)
 				rip++
-				err = &TrapError{Msg: "instruction budget exhausted", PC: rip}
 				break loop
 			}
 			m.Counters.Branches++
 			m.Counters.CondBranches++
+			m.qacc += qBranch
 			taken := m.cc(u.cc)
-			if warm && !m.BP.Predict(uint32(u.disp), taken) {
+			if model && !m.BP.Predict(uint32(u.disp), taken) {
 				m.Counters.BranchMiss++
+				m.qacc += qMispred
 			}
 			if taken {
 				rip = int(u.tgt)
@@ -1011,52 +1044,4 @@ loop:
 	// unsigned subtraction folds the overshoot back in (mod 2^64).
 	m.Counters.Instructions = limit - uint64(rem)
 	return err
-}
-
-// funcAluOp and funcFAluOp are the exact engine's ALU helpers minus the
-// cycle-cost accumulation — the functional tier discards qacc anyway, and
-// as pure functions they inline into the dispatch arms.
-func funcAluOp(u *uop, a, b uint64) uint64 {
-	var r uint64
-	switch u.alu {
-	case aluAdd:
-		r = a + b
-	case aluSub:
-		r = a - b
-	case aluAnd:
-		r = a & b
-	case aluOr:
-		r = a | b
-	case aluXor:
-		r = a ^ b
-	case aluImul:
-		r = a * b
-	}
-	if u.w == 4 {
-		r = uint64(uint32(r))
-	}
-	return r
-}
-
-func funcFAluOp(u *uop, a, b float64) float64 {
-	var r float64
-	switch u.alu {
-	case fAdd:
-		r = a + b
-	case fSub:
-		r = a - b
-	case fMul:
-		r = a * b
-	case fDiv:
-		r = a / b
-	case fMin:
-		r = wasmMin(a, b)
-	case fMax:
-		r = wasmMax(a, b)
-	}
-	if u.w == 4 {
-		// float32 rounding at each step
-		r = float64(float32(r))
-	}
-	return r
 }

@@ -1,15 +1,15 @@
 package cpu
 
-// Micro-op dispatch engine. The hot loop walks the pre-decoded uop stream
-// (see decode.go): one dense switch, no per-instruction operand-kind or
-// register-class interpretation, effective addresses computed from flat
-// templates, and the instruction-cache line check inlined against the
-// precomputed line number. All counter and cycle accounting is bit-identical
-// to the legacy interpreter in exec_legacy.go, which remains the reference
-// semantics and the fallback for unspecialized shapes (uSlow).
+// Micro-op execution helpers shared by the dispatch loop (dispatch.go) and,
+// where noted, by the legacy interpreter (exec_legacy.go): entry (Call),
+// tier selection (run), effective addresses, the ALU/shift/bit/float
+// sub-operations with their quarter-cycle charges, division and conversion
+// with wasm trap semantics, and the legacy branch helper. All counter and
+// cycle accounting is bit-identical to the legacy interpreter, which
+// remains the reference semantics and the fallback for unspecialized
+// shapes (uSlow).
 
 import (
-	"encoding/binary"
 	"math"
 	"math/bits"
 
@@ -47,811 +47,10 @@ func (m *Machine) run() error {
 		// exact, regardless of the fidelity tier.
 		return m.runLegacy()
 	}
-	switch m.fid {
-	case FidelityFunctional:
-		return m.runFunctional()
-	case FidelitySampled:
+	if m.fid == FidelitySampled {
 		return m.runSampled()
 	}
-	return m.runExact()
-}
-
-// runExact is the full-fidelity micro-op loop: every icache/dcache access
-// and branch prediction modeled on every retired instruction. It is also
-// the detailed-window engine of the sampled tier, which sets stopAt to end
-// a window: the loop then returns nil with rip (and lastILine) preserved,
-// so re-entry continues bit-identically.
-func (m *Machine) runExact() error {
-	ops := m.uops
-	for !m.halted {
-		if m.Counters.Instructions >= m.stopAt {
-			m.FlushCycles()
-			return nil
-		}
-		if uint(m.rip) >= uint(len(ops)) {
-			return &TrapError{Msg: "execution left code segment", PC: m.rip}
-		}
-		u := &ops[m.rip]
-		m.Counters.Instructions++ // qBase is charged in FlushCycles
-		if u.line != m.lastILine {
-			// Inlined icache walk against the precomputed line number.
-			// Unlike the legacy engine's lastLine (which taken branches
-			// reset to force a probe), lastILine tracks the last line
-			// actually probed: a repeat probe of that line is a guaranteed
-			// hit with no counter or cycle effect, and dropping consecutive
-			// duplicate touches never changes LRU order, so branches back
-			// into the current line skip the probe bit-identically.
-			m.lastILine = u.line
-			// Every cache level has 64-byte lines, so line<<6 is
-			// indistinguishable from the full fetch address here.
-			if !m.L1I.Access(u.line << 6) {
-				m.Counters.L1IMisses++
-				if m.L2.Access(u.line << 6) {
-					m.qacc += qL1IMiss
-				} else {
-					m.qacc += qL2IMiss
-				}
-			}
-		}
-		if m.MaxInstructions > 0 && m.Counters.Instructions > m.MaxInstructions {
-			return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-		}
-		if m.Counters.Instructions >= m.pollAt {
-			m.pollAt = m.Counters.Instructions + m.pollEvery
-			if err := m.interrupt(); err != nil {
-				m.FlushCycles()
-				return err
-			}
-		}
-
-		var err error
-		switch u.kind {
-		case uSlow:
-			err = m.exec(&m.Prog.Code[m.rip])
-
-		case uNop:
-			m.rip++
-
-		case uMovRR:
-			v := m.Regs[u.src]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uMovRI:
-			m.Regs[u.dst] = u.imm
-			m.rip++
-
-		case uMovLoad:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.Regs[u.dst] = v
-				m.rip++
-			}
-
-		case uMovStore:
-			if err = m.store(m.uea(u), u.w, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uMovStoreI:
-			if err = m.store(m.uea(u), u.w, u.imm); err == nil {
-				m.rip++
-			}
-
-		case uExtR:
-			v := extend(m.Regs[u.src], u.alu)
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uExtM:
-			var v uint64
-			if v, err = m.load(m.uea(u), extWidth[u.alu]); err == nil {
-				v = extend(v, u.alu)
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				m.rip++
-			}
-
-		case uLea:
-			v := uint64(m.uea(u))
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uAluRR:
-			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], m.Regs[u.src])
-			m.rip++
-
-		case uAluRI:
-			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], u.imm)
-			m.rip++
-
-		case uAluRM:
-			var b uint64
-			if b, err = m.load(m.uea(u), u.w); err == nil {
-				m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], b)
-				m.rip++
-			}
-
-		case uAluMR:
-			ea := m.uea(u)
-			var a uint64
-			if a, err = m.load(ea, u.w); err == nil {
-				if err = m.store(ea, u.w, m.aluOp(u, a, m.Regs[u.src])); err == nil {
-					m.rip++
-				}
-			}
-
-		case uAluMI:
-			ea := m.uea(u)
-			var a uint64
-			if a, err = m.load(ea, u.w); err == nil {
-				if err = m.store(ea, u.w, m.aluOp(u, a, u.imm)); err == nil {
-					m.rip++
-				}
-			}
-
-		case uShiftR:
-			var s uint
-			if u.w == 4 {
-				s = uint(m.Regs[u.src] & 31)
-			} else {
-				s = uint(m.Regs[u.src] & 63)
-			}
-			m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], s)
-			m.rip++
-
-		case uShiftI:
-			m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], uint(u.imm))
-			m.rip++
-
-		case uNegR:
-			v := -m.Regs[u.dst]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uNotR:
-			v := ^m.Regs[u.dst]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uBitR:
-			m.Regs[u.dst] = bitOp(u, m.Regs[u.src])
-			m.rip++
-
-		case uBitM:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.Regs[u.dst] = bitOp(u, v)
-				m.rip++
-			}
-
-		case uCdq:
-			m.execCdq(u.w)
-			m.rip++
-
-		case uDivR:
-			d := m.Regs[u.dst]
-			if u.w == 4 {
-				d = uint64(uint32(d))
-			}
-			if err = m.execDiv(d, u.w, u.alu == 1); err == nil {
-				m.rip++
-			}
-
-		case uDivM:
-			var d uint64
-			if d, err = m.load(m.uea(u), u.w); err == nil {
-				if err = m.execDiv(d, u.w, u.alu == 1); err == nil {
-					m.rip++
-				}
-			}
-
-		case uCmpRR:
-			m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			m.rip++
-
-		case uCmpRI:
-			m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
-			m.rip++
-
-		case uCmpRM:
-			var b uint64
-			if b, err = m.load(m.uea(u), u.w); err == nil {
-				m.setCmpFlags(m.Regs[u.dst], b, u.w)
-				m.rip++
-			}
-
-		case uCmpMR:
-			var a uint64
-			if a, err = m.load(m.uea(u), u.w); err == nil {
-				m.setCmpFlags(a, m.Regs[u.src], u.w)
-				m.rip++
-			}
-
-		case uCmpMI:
-			var a uint64
-			if a, err = m.load(m.uea(u), u.w); err == nil {
-				m.setCmpFlags(a, u.imm, u.w)
-				m.rip++
-			}
-
-		case uTestRR:
-			m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			m.rip++
-
-		case uTestRI:
-			m.setTestFlags(m.Regs[u.dst], u.imm, u.w)
-			m.rip++
-
-		case uSet:
-			var v uint64
-			if m.cc(u.cc) {
-				v = 1
-			}
-			m.Regs[u.dst] = (m.Regs[u.dst] &^ 0xff) | v
-			m.rip++
-
-		case uCmovRR:
-			if m.cc(u.cc) {
-				v := m.Regs[u.src]
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-			}
-			m.rip++
-
-		case uCmovRM:
-			// cmov with a memory source performs the load either way.
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				if m.cc(u.cc) {
-					m.Regs[u.dst] = v
-				}
-				m.rip++
-			}
-
-		// Branch kinds inline the unconditional branchTo body. The legacy
-		// engine's lastLine reset is not needed here: the micro-op engine
-		// tracks the last probed line (lastILine), which branches must not
-		// disturb.
-		case uJmp:
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = int(u.tgt)
-
-		case uJcc:
-			m.Counters.Branches++
-			m.Counters.CondBranches++
-			m.qacc += qBranch
-			taken := m.cc(u.cc)
-			if !m.BP.Predict(uint32(u.imm), taken) {
-				m.Counters.BranchMiss++
-				m.qacc += qMispred
-			}
-			if taken {
-				m.rip = int(u.tgt)
-			} else {
-				m.rip++
-			}
-
-		case uJmpTable:
-			targets := m.Prog.Code[m.rip].TableTargets
-			idx := int(uint32(m.Regs[u.dst]))
-			if idx < 0 || idx >= len(targets) {
-				err = &TrapError{Msg: "jump table index out of range", PC: m.rip}
-				break
-			}
-			m.Counters.Loads++ // table entry fetch
-			m.qacc += qLoad
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = targets[idx]
-
-		case uCall:
-			m.Regs[x86.RSP] -= 8
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint64(s[off:], uint64(m.rip+1))
-			} else if err = m.store(a, 8, uint64(m.rip+1)); err != nil {
-				break
-			}
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = int(u.tgt)
-
-		case uCallR, uCallM:
-			var t uint64
-			if u.kind == uCallR {
-				t = m.Regs[u.dst]
-			} else if t, err = m.load(m.uea(u), 8); err != nil {
-				break
-			}
-			if t >= uint64(len(ops)) {
-				err = &TrapError{Msg: "indirect call to invalid target", PC: m.rip}
-				break
-			}
-			m.Regs[x86.RSP] -= 8
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint64(s[off:], uint64(m.rip+1))
-			} else if err = m.store(a, 8, uint64(m.rip+1)); err != nil {
-				break
-			}
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = int(t)
-
-		case uRet:
-			a := uint32(m.Regs[x86.RSP])
-			var ra uint64
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				ra = binary.LittleEndian.Uint64(s[off:])
-			} else if ra, err = m.load(a, 8); err != nil {
-				break
-			}
-			m.Regs[x86.RSP] += 8
-			m.Counters.Branches++
-			if ra == haltSentinel {
-				m.halted = true
-			} else {
-				m.qacc += qBranch
-				m.rip = int(ra)
-			}
-
-		case uPushR:
-			m.Regs[x86.RSP] -= 8
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
-				m.rip++
-			} else if err = m.store(a, 8, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uPushI:
-			m.Regs[x86.RSP] -= 8
-			if err = m.store(uint32(m.Regs[x86.RSP]), 8, u.imm); err == nil {
-				m.rip++
-			}
-
-		case uPushM:
-			var v uint64
-			if v, err = m.load(m.uea(u), 8); err == nil {
-				m.Regs[x86.RSP] -= 8
-				if err = m.store(uint32(m.Regs[x86.RSP]), 8, v); err == nil {
-					m.rip++
-				}
-			}
-
-		case uPop:
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				m.Regs[x86.RSP] += 8
-				m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 8); err == nil {
-					m.Regs[x86.RSP] += 8
-					m.Regs[u.dst] = v
-					m.rip++
-				}
-			}
-
-		case uUd2:
-			err = &TrapError{Msg: "unreachable executed (ud2)", PC: m.rip}
-
-		case uCallHost:
-			if m.Host == nil {
-				err = &TrapError{Msg: "host call with no host bound", PC: m.rip}
-				break
-			}
-			m.Counters.Branches++
-			m.qacc += qCallHost
-			if err = m.Host(m, int(u.tgt)); err == nil {
-				m.rip++
-			}
-
-		case uMovsdRR:
-			m.Xmm[u.dst] = m.Xmm[u.src]
-			m.rip++
-
-		case uMovsdLoad:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.Xmm[u.dst] = v
-				m.rip++
-			}
-
-		case uMovsdStore:
-			if err = m.store(m.uea(u), u.w, m.Xmm[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uFAluRR:
-			m.Xmm[u.dst] = bitsOf(m.fAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w)), u.w)
-			m.rip++
-
-		case uFAluRM:
-			a := f64of(m.Xmm[u.dst], u.w)
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.Xmm[u.dst] = bitsOf(m.fAluOp(u, a, f64of(bv, u.w)), u.w)
-				m.rip++
-			}
-
-		case uSqrtR:
-			m.qacc += qFSqrt
-			m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(m.Xmm[u.src], u.w)), u.w)
-			m.rip++
-
-		case uSqrtM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.qacc += qFSqrt
-				m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(bv, u.w)), u.w)
-				m.rip++
-			}
-
-		case uUcomiR:
-			m.setUcomiFlags(f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w))
-			m.rip++
-
-		case uUcomiM:
-			a := f64of(m.Xmm[u.dst], u.w)
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.setUcomiFlags(a, f64of(bv, u.w))
-				m.rip++
-			}
-
-		case uCvtSI2SDR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(m.Regs[u.src], u.w, u.uns))
-			m.rip++
-
-		case uCvtSI2SDM:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.qacc += qCvt
-				m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(v, u.w, u.uns))
-				m.rip++
-			}
-
-		case uCvtTSD2SIR:
-			var r uint64
-			if r, err = m.cvtF64ToInt(f64of(m.Xmm[u.src], u.alu), u.w, u.uns); err == nil {
-				m.Regs[u.dst] = r
-				m.rip++
-			}
-
-		case uCvtTSD2SIM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.alu); err == nil {
-				var r uint64
-				if r, err = m.cvtF64ToInt(f64of(bv, u.alu), u.w, u.uns); err == nil {
-					m.Regs[u.dst] = r
-					m.rip++
-				}
-			}
-
-		case uCvtSD2SSR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = cvtSD2SS(m.Xmm[u.src])
-			m.rip++
-
-		case uCvtSD2SSM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), 8); err == nil {
-				m.qacc += qCvt
-				m.Xmm[u.dst] = cvtSD2SS(bv)
-				m.rip++
-			}
-
-		case uCvtSS2SDR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = cvtSS2SD(m.Xmm[u.src])
-			m.rip++
-
-		case uCvtSS2SDM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), 4); err == nil {
-				m.qacc += qCvt
-				m.Xmm[u.dst] = cvtSS2SD(bv)
-				m.rip++
-			}
-
-		case uMovqXR:
-			v := m.Regs[u.src]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Xmm[u.dst] = v
-			m.rip++
-
-		case uMovqRX:
-			v := m.Xmm[u.src]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uLogicXX:
-			if u.alu == 0 {
-				m.Xmm[u.dst] &= m.Xmm[u.src]
-			} else {
-				m.Xmm[u.dst] ^= m.Xmm[u.src]
-			}
-			m.rip++
-
-		case uLogicXM:
-			var b uint64
-			if b, err = m.load(m.uea(u), 8); err == nil {
-				if u.alu == 0 {
-					m.Xmm[u.dst] &= b
-				} else {
-					m.Xmm[u.dst] ^= b
-				}
-				m.rip++
-			}
-
-		case uRoundR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = bitsOf(roundMode(f64of(m.Xmm[u.src], u.w), u.alu), u.w)
-			m.rip++
-
-		case uRoundM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.qacc += qCvt
-				m.Xmm[u.dst] = bitsOf(roundMode(f64of(bv, u.w), u.alu), u.w)
-				m.rip++
-			}
-
-		// Width-specialized memory kinds: the whole linear-memory fast path
-		// (bounds check, retired-access counter, dcache memo, fixed-width
-		// access) is inlined here; anything outside linear memory falls back
-		// to the generic load/store with identical semantics.
-		case uMovLoad64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 8); err == nil {
-					m.Regs[u.dst] = v
-					m.rip++
-				}
-			}
-
-		case uMovLoad32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				m.Regs[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 4); err == nil {
-					m.Regs[u.dst] = v
-					m.rip++
-				}
-			}
-
-		case uMovStore64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
-				m.rip++
-			} else if err = m.store(a, 8, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uMovStore32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint32(s[off:], uint32(m.Regs[u.src]))
-				m.rip++
-			} else if err = m.store(a, 4, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uFLoad64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				m.Xmm[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 8); err == nil {
-					m.Xmm[u.dst] = v
-					m.rip++
-				}
-			}
-
-		case uFLoad32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				m.Xmm[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 4); err == nil {
-					m.Xmm[u.dst] = v
-					m.rip++
-				}
-			}
-
-		case uFStore64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint64(s[off:], m.Xmm[u.src])
-				m.rip++
-			} else if err = m.store(a, 8, m.Xmm[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uFStore32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
-				}
-				binary.LittleEndian.PutUint32(s[off:], uint32(m.Xmm[u.src]))
-				m.rip++
-			} else if err = m.store(a, 4, m.Xmm[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uCmpRRJcc:
-			m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			if !m.fusedJcc(u) {
-				return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-			}
-
-		case uCmpRIJcc:
-			m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
-			if !m.fusedJcc(u) {
-				return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-			}
-
-		case uTestRRJcc:
-			m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			if !m.fusedJcc(u) {
-				return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-			}
-
-		}
-
-		if err != nil {
-			m.FlushCycles()
-			return err
-		}
-	}
-	m.FlushCycles()
-	return nil
-}
-
-// fusedJcc retires the branch half of a fused compare-and-branch pair: the
-// per-instruction bookkeeping the main loop would have done for the jcc
-// (instruction count, budget check; its icache fetch is a guaranteed
-// same-line skip) followed by the branch itself. It returns false when the
-// instruction budget expires at the branch, with rip advanced to it so the
-// caller's trap carries the same PC the unfused engine would report.
-func (m *Machine) fusedJcc(u *uop) bool {
-	m.Counters.Instructions++
-	if m.MaxInstructions > 0 && m.Counters.Instructions > m.MaxInstructions {
-		m.rip++
-		return false
-	}
-	m.Counters.Branches++
-	m.Counters.CondBranches++
-	m.qacc += qBranch
-	taken := m.cc(u.cc)
-	if !m.BP.Predict(uint32(u.disp), taken) {
-		m.Counters.BranchMiss++
-		m.qacc += qMispred
-	}
-	if taken {
-		m.rip = int(u.tgt)
-	} else {
-		m.rip += 2
-	}
-	return true
+	return m.runUops()
 }
 
 // uea computes the effective address from a micro-op's pre-extracted
@@ -1138,24 +337,19 @@ func roundMode(f float64, mode uint8) float64 {
 	}
 }
 
-// branchTo redirects control and charges branch costs. Branch counters are
-// architectural and always move; the predictor (and its BranchMiss counter)
-// is timing state, skipped while timing is suppressed so the uSlow/legacy
-// fallback stays usable from the functional engine.
+// branchTo redirects control and charges branch costs for the legacy
+// interpreter. Branch counters are architectural and always move; the
+// predictor (and its BranchMiss counter) is timing state, run only when
+// timing is modeled or warmed, like the uop loop's, so the uSlow/legacy
+// fallback stays usable from every tier.
 func (m *Machine) branchTo(target int, conditional, taken bool, addr uint32) {
 	m.Counters.Branches++
 	m.q(qBranch)
 	if conditional {
 		m.Counters.CondBranches++
-		if !m.noTime {
-			if !m.BP.Predict(addr, taken) {
-				m.Counters.BranchMiss++
-				m.q(qMispred)
-			}
-		} else if m.warm && !m.BP.Predict(addr, taken) {
-			// Sampled fast-forward: the predictor is simulated always-on
-			// (state and mispredict count), only the cycle charge is omitted.
+		if (!m.noTime || m.warm) && !m.BP.Predict(addr, taken) {
 			m.Counters.BranchMiss++
+			m.q(qMispred)
 		}
 	}
 	if taken {

@@ -1,10 +1,12 @@
 package cpu
 
-// Sampled-fidelity engine: SMARTS-style interval sampling. Execution
-// alternates between the functional fast path (exec_functional.go) and
-// detailed windows run on the exact engine, on a deterministic schedule
-// measured in retired instructions — so two runs of the same program
-// produce identical counters regardless of host timing or scheduling.
+// Sampled-fidelity schedule: SMARTS-style interval sampling. Execution
+// alternates between untimed fast-forward segments and timed detailed
+// windows, all run by the one uop dispatch loop (runUops, dispatch.go) with
+// noTime and warm set per segment and stopAt ending each one, on a
+// deterministic schedule measured in retired instructions — so two runs of
+// the same program produce identical counters regardless of host timing or
+// scheduling.
 //
 // Each period of samplePeriod instructions is laid out as
 //
@@ -90,7 +92,7 @@ func (m *Machine) SetFidelity(f Fidelity, period, detail, warmup uint64) {
 // in detailed windows, discarded over warm-ups, extrapolated over
 // functional gaps. It is cycles plus the icache misses feeding them — the
 // data caches and the branch predictor are simulated always-on (functional
-// warming counts their misses exactly; see Machine.dwarm), so those
+// warming counts their misses exactly; see Machine.warm), so those
 // counters never pass through here.
 type timing struct {
 	cycles, l1i uint64
@@ -130,7 +132,7 @@ func (m *Machine) runSampled() error {
 		if warmed {
 			m.stopAt = pStart + m.sampleWarmup
 			snap := m.timingSnap()
-			err := m.runExact()
+			err := m.runUops()
 			m.timingRestore(snap)
 			if err != nil {
 				m.extrapolateTail()
@@ -143,7 +145,7 @@ func (m *Machine) runSampled() error {
 		wStart := m.Counters.Instructions
 		snap := m.timingSnap()
 		m.stopAt = wStart + m.sampleDetail
-		err := m.runExact()
+		err := m.runUops()
 		delta := m.timingSnap().sub(snap)
 		w := m.Counters.Instructions - wStart
 		m.smpMeasInsts += w
@@ -158,7 +160,7 @@ func (m *Machine) runSampled() error {
 		m.stopAt = pStart + m.samplePeriod
 		m.noTime = true
 		m.warm = true
-		err = m.runFunctional()
+		err = m.runUops()
 		m.noTime = false
 		m.warm = false
 		if err != nil {

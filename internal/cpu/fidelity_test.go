@@ -64,25 +64,60 @@ func TestFunctionalMatchesExact(t *testing.T) {
 	}
 }
 
-// TestFunctionalBudgetTrap pins that the instruction-budget trap fires at
-// the same instruction count and PC in both tiers.
+// TestFunctionalBudgetTrap sets every instruction budget from 1 to the
+// golden program's retired count. At each budget the uop exact tier must
+// stop exactly like the legacy interpreter (same trap PC, same full
+// counters after FlushCycles), and the functional tier at the same PC with
+// the same architectural counters. The sweep must include a budget that
+// expires on the branch half of a fused compare-and-branch pair and one
+// whose trapping fetch crosses into a new icache line.
 func TestFunctionalBudgetTrap(t *testing.T) {
-	trap := func(f Fidelity) (uint64, int) {
+	run := func(f Fidelity, legacy bool, budget uint64) (*Machine, int) {
 		m := NewMachine(buildGoldenProgram(), 1, 1)
+		m.NoPredecode = legacy
 		m.SetFidelity(f, 0, 0, 0)
-		m.MaxInstructions = 100
+		m.MaxInstructions = budget
 		_, err := m.Call(0)
-		te, ok := err.(*TrapError)
-		if !ok {
-			t.Fatalf("budget run under %v: got %v, want trap", f, err)
+		m.FlushCycles()
+		if budget >= goldenCounters.Instructions {
+			if err != nil {
+				t.Fatalf("budget %d under %v (legacy=%v): %v", budget, f, legacy, err)
+			}
+			return m, -1
 		}
-		return m.Counters.Instructions, te.PC
+		te, ok := err.(*TrapError)
+		if !ok || te.Msg != "instruction budget exhausted" {
+			t.Fatalf("budget %d under %v (legacy=%v): got %v, want budget trap", budget, f, legacy, err)
+		}
+		return m, te.PC
 	}
-	ie, pce := trap(FidelityExact)
-	if_, pcf := trap(FidelityFunctional)
-	if ie != if_ || pce != pcf {
-		t.Errorf("budget trap diverged: exact insts=%d pc=%d, functional insts=%d pc=%d",
-			ie, pce, if_, pcf)
+	var fusedBranch, lineCross int
+	var prevFetches uint64
+	for b := uint64(1); b <= goldenCounters.Instructions; b++ {
+		me, pce := run(FidelityExact, false, b)
+		ml, pcl := run(FidelityExact, true, b)
+		mf, pcf := run(FidelityFunctional, false, b)
+		if pce != pcl || me.Counters != ml.Counters {
+			t.Errorf("budget %d: uop pc=%d %v\n legacy pc=%d %v", b, pce, me.Counters.String(), pcl, ml.Counters.String())
+		}
+		if ae, af := archCounters(me.Counters), archCounters(mf.Counters); pce != pcf || ae != af {
+			t.Errorf("budget %d: exact pc=%d %v\n functional pc=%d %v", b, pce, ae.String(), pcf, af.String())
+		}
+		if pce > 0 {
+			switch me.uops[pce-1].kind {
+			case uCmpRRJcc, uCmpRIJcc, uTestRRJcc:
+				fusedBranch++
+			}
+		}
+		// Budget b retires one instruction more than budget b-1 and fetches
+		// the next: a new L1I probe means that fetch crossed a line.
+		if me.L1I.Accesses > prevFetches && b > 1 {
+			lineCross++
+		}
+		prevFetches = me.L1I.Accesses
+	}
+	if fusedBranch == 0 || lineCross == 0 {
+		t.Errorf("sweep hit %d fused-branch budgets and %d line crossings; want both", fusedBranch, lineCross)
 	}
 }
 
@@ -98,6 +133,21 @@ func TestSampledShortProgramIsExact(t *testing.T) {
 	if me.Counters != ms.Counters {
 		t.Errorf("counters diverged:\n exact:   %v\n sampled: %v",
 			me.Counters.String(), ms.Counters.String())
+	}
+}
+
+// TestSampledFullDutyNeverFastForwards pins that a schedule whose warm-up
+// and detailed window fill the whole period never fast-forwards, even when
+// a fused compare-and-branch pair carries a window one instruction past its
+// end: every instruction is then fetched through the icache exactly as in
+// the exact tier.
+func TestSampledFullDutyNeverFastForwards(t *testing.T) {
+	_, me := runGoldenFidelity(t, FidelityExact, 0, 0, 0)
+	for _, s := range [][3]uint64{{60, 40, 20}, {50, 30, 20}, {41, 21, 20}} {
+		_, ms := runGoldenFidelity(t, FidelitySampled, s[0], s[1], s[2])
+		if got, want := ms.L1I.Accesses, me.L1I.Accesses; got != want {
+			t.Errorf("schedule %v: %d L1I accesses, exact has %d", s, got, want)
+		}
 	}
 }
 
@@ -124,8 +174,25 @@ func TestSampledDeterminism(t *testing.T) {
 	if ret1 != 7109254968427 {
 		t.Errorf("sampled run returned %d, want 7109254968427", ret1)
 	}
-	// The sampled run did model some timing (detailed windows ran).
-	if m1.Counters.Cycles == 0 {
-		t.Error("sampled tier produced zero cycles; detailed windows never ran")
+	// Timing counters are pinned too: a change to what the untimed
+	// segments model would shift the extrapolated cycles or L1I misses.
+	if m1.Counters != sampledGoldenCounters {
+		t.Errorf("sampled counters diverged:\n got:  %v\n want: %v",
+			m1.Counters.String(), sampledGoldenCounters.String())
 	}
+}
+
+// sampledGoldenCounters is the golden program's counter snapshot under the
+// sampled tier with a 150/40/20 period/detail/warm-up schedule.
+var sampledGoldenCounters = perf.Counters{
+	Loads:        70,
+	Stores:       68,
+	Branches:     169,
+	CondBranches: 82,
+	Instructions: 790,
+	Cycles:       2212,
+	L1IMisses:    12,
+	L1DMisses:    9,
+	L2Misses:     9,
+	BranchMiss:   2,
 }

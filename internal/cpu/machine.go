@@ -99,19 +99,20 @@ type Machine struct {
 	// Fidelity tier state (see fidelity in exec_sampled.go). noTime is true
 	// whenever timing modeling is suppressed: the whole run in the
 	// functional tier, the fast-forward segments of the sampled tier. It
-	// gates the generic dcache path, branch prediction, and cycle flushing,
-	// so the uSlow/legacy fallbacks stay architecturally exact without
-	// touching timing structures. stopAt ends the current execution segment
-	// when Counters.Instructions reaches it (^0 = no segment boundary, the
-	// same always-false-compare trick as pollAt); the run loops return nil
-	// with rip preserved, and the tier driver resumes or switches engines.
-	// warm enables SMARTS functional warming while noTime is set: loads,
-	// stores, and conditional branches still update cache and predictor
-	// STATE (tags, LRU order, direction counters) without charging cycles or
-	// counting misses, so detailed windows measure warm-structure rates
-	// instead of re-paying compulsory misses after every fast-forward gap.
-	// Only the sampled tier sets it; the standalone functional tier keeps
-	// warming off and touches no timing structures at all.
+	// gates the icache probe, the dcache and branch predictor (unless warm),
+	// and cycle flushing: FlushCycles discards qacc while it is set, so
+	// quarter-cycle charges never need a gate of their own. stopAt ends the
+	// current execution segment when Counters.Instructions reaches it (^0 =
+	// no segment boundary, the same always-false-compare trick as pollAt);
+	// runUops returns nil with rip preserved, and runSampled re-enters
+	// it for the next segment. warm enables SMARTS functional
+	// warming while noTime is set: loads, stores, and conditional branches
+	// walk the data caches and the predictor exactly as timed segments do
+	// (tags, LRU order, direction counters, miss counters) while their
+	// cycle charges are discarded, so detailed windows measure
+	// warm-structure rates instead of re-paying compulsory misses after
+	// every fast-forward gap. Only the sampled tier sets it; the standalone
+	// functional tier keeps warming off and touches no timing structures.
 	fid    Fidelity
 	noTime bool
 	warm   bool
@@ -477,30 +478,30 @@ func (m *Machine) growStack(addr uint32) {
 	m.stackLow = uint32(x86.StackTop) - size
 }
 
-// dcache walks the data-cache hierarchy for addr and charges cycles. A
-// repeat access to the immediately preceding line is known to hit L1D (the
-// previous access either hit or installed the line, and nothing else can
-// evict it in between), so the common stack/struct locality case charges
-// the hit cost without an associative probe. LRU state is unaffected:
-// dropping consecutive duplicate touches of one line never changes the
-// relative last-use order of any two lines in a set.
+// dcache is the generic load/store path's data-cache access. Functional
+// fidelity models no data cache; sampled fast-forward (warm) walks it
+// exactly as the timed tiers do, and FlushCycles discards the charges.
 func (m *Machine) dcache(addr uint32) {
-	if m.noTime {
-		// Functional fidelity: no data-cache timing. This gate covers every
-		// generic load/store (including the uSlow/legacy fallback paths);
-		// the exact engine's inlined fast paths call dcacheWalk directly and
-		// are never reached while noTime is set. Under sampled fast-forward
-		// the access still warms cache state.
-		if m.warm {
-			m.dwarm(addr)
-		}
+	if m.noTime && !m.warm {
 		return
 	}
+	m.dcharge(addr)
+}
+
+// dcharge charges one data access. A repeat access to the immediately
+// preceding line is known to hit L1D (the previous access either hit or
+// installed the line, and nothing else can evict it in between), so the
+// common stack/struct locality case charges the hit cost without an
+// associative probe. LRU state is unaffected: dropping consecutive
+// duplicate touches of one line never changes the relative last-use order
+// of any two lines in a set. Kept small enough to inline into the dispatch
+// loop's fast paths.
+func (m *Machine) dcharge(addr uint32) {
 	if addr>>6 == m.lastDLine {
 		m.qacc += qLoad
-		return
+	} else {
+		m.dcacheWalk(addr)
 	}
-	m.dcacheWalk(addr)
 }
 
 // dcacheWalk probes L1D/L2/L3 in order, charging the first level that hits.
@@ -541,33 +542,6 @@ func (m *Machine) dcacheWalk(addr uint32) {
 	m.q(qL3DMiss)
 }
 
-// dwarm walks the data-cache hierarchy for addr during sampled
-// fast-forward: tags, LRU order, AND miss counters move exactly as
-// dcache/dcacheWalk would move them — only the cycle charges are omitted.
-// Because the warmed access stream is identical to the one the exact
-// engine would issue, the data-cache miss counters stay exact (not
-// extrapolated) across fast-forward gaps; per SMARTS, the caches and
-// branch predictor are simulated always-on and only cycle timing is
-// sampled.
-func (m *Machine) dwarm(addr uint32) {
-	if addr>>6 == m.lastDLine {
-		return
-	}
-	m.lastDLine = addr >> 6
-	if m.L1D.Access(addr) {
-		return
-	}
-	m.Counters.L1DMisses++
-	if m.L2.Access(addr) {
-		return
-	}
-	m.Counters.L2Misses++
-	if m.L3 == nil {
-		m.L3 = NewCache(15*1024*1024, 64, 16)
-	}
-	m.L3.Access(addr)
-}
-
 // icache fetches the instruction at addr.
 func (m *Machine) icache(addr uint32) {
 	line := addr >> 6
@@ -594,10 +568,10 @@ func (m *Machine) q(n uint64) { m.qacc += n }
 // instruction costs exactly qBase, so it is reconstructed here from the
 // retired-instruction count since the previous flush. While timing is
 // suppressed (functional tier, sampled fast-forward) the flush is a
-// discard-and-rebase instead: stray quarter-cycle charges from shared
-// helpers (imul/div/fp costs) are dropped and the qBase reconstruction is
-// re-based, so functional instructions never turn into cycles (AddCycles
-// host charges are likewise dropped while noTime is set).
+// discard-and-rebase instead: the segment's quarter-cycle charges, which
+// the dispatch loop accrues unconditionally, are dropped and the qBase
+// reconstruction is re-based, so untimed instructions never turn into
+// cycles (AddCycles host charges are likewise dropped while noTime is set).
 func (m *Machine) FlushCycles() {
 	if m.noTime {
 		m.qacc = 0

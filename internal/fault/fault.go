@@ -35,7 +35,9 @@ package fault
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -351,6 +353,14 @@ func Hits(site string) uint64 {
 	mu.Lock()
 	defer mu.Unlock()
 	return hits[site]
+}
+
+// Sites returns the sorted names of every site Check has observed while
+// rules were armed. Every site that fired is among them.
+func Sites() []string {
+	mu.Lock()
+	defer mu.Unlock()
+	return slices.Sorted(maps.Keys(hits))
 }
 
 // Fired reports how many faults have been injected at site.

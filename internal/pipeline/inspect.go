@@ -13,7 +13,7 @@ import (
 )
 
 // Store inspection and explicit GC, the API under cmd/repro-cache. All
-// functions operate on the process's active store (the same one Build
+// functions operate on the process's active store (the same one Compile
 // uses): REPRO_CACHE_DIR resolution, the compiler-fingerprint subdirectory,
 // and the size budget all apply.
 

@@ -303,23 +303,6 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 	return e.cm, mine, e.err
 }
 
-// Build compiles src for cfg through the shared cache.
-//
-// Deprecated: construct a Request and use Compile — this wrapper survives
-// one release so out-of-tree callers keep compiling.
-func Build(src string, cfg *codegen.EngineConfig) (*codegen.CompiledModule, error) {
-	return BuildContext(context.Background(), src, cfg)
-}
-
-// BuildContext is Build under a caller context.
-//
-// Deprecated: construct a Request and use Compile — this wrapper survives
-// one release so out-of-tree callers keep compiling.
-func BuildContext(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen.CompiledModule, error) {
-	cm, _, err := build(ctx, src, cfg)
-	return cm, err
-}
-
 // buildLabel is the compile fault site's key: the fault.WithLabel value when
 // a suite layer attached one (the workload name), else the engine name.
 func buildLabel(ctx context.Context, cfg *codegen.EngineConfig) string {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/pipeline"
+	"repro/internal/sched"
 )
 
 const addSrc = `
@@ -117,7 +118,7 @@ int main() {
 	}
 	// Concurrently run executions through the scheduler against the same
 	// cache, mirroring suite behaviour.
-	jobs := make([]pipeline.Job, 8)
+	jobs := make([]sched.Job, 8)
 	for i := range jobs {
 		jobs[i] = func(ctx context.Context) error {
 			res, err := pipeline.Do(ctx, &pipeline.Request{Module: addSrc, Config: codegen.Firefox()})
@@ -130,23 +131,24 @@ int main() {
 			return nil
 		}
 	}
-	if err := pipeline.RunJobs(context.Background(), 0, jobs); err != nil {
+	if err := sched.RunJobs(context.Background(), 0, jobs); err != nil {
 		t.Error(err)
 	}
 	wg.Wait()
 }
 
-// TestRunJobsAggregatesAllErrors checks every failure is reported, in job
-// order, not just the first.
+// TestRunJobsAggregatesAllErrors checks the error contract suite fan-out
+// relies on: every failing job is reported, in job order rather than
+// completion order.
 func TestRunJobsAggregatesAllErrors(t *testing.T) {
 	errA := errors.New("job-a failed")
 	errB := errors.New("job-b failed")
-	jobs := []pipeline.Job{
+	jobs := []sched.Job{
 		func(ctx context.Context) error { return errA },
 		func(ctx context.Context) error { return nil },
 		func(ctx context.Context) error { return errB },
 	}
-	err := pipeline.RunJobs(context.Background(), 2, jobs)
+	err := sched.RunJobs(context.Background(), 2, jobs)
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("aggregate missing a failure: %v", err)
 	}
@@ -156,44 +158,13 @@ func TestRunJobsAggregatesAllErrors(t *testing.T) {
 	}
 }
 
-// TestRunJobsBounded checks the worker cap actually bounds concurrency.
-func TestRunJobsBounded(t *testing.T) {
-	const workers = 3
-	var cur, peak atomic.Int32
-	jobs := make([]pipeline.Job, 24)
-	for i := range jobs {
-		jobs[i] = func(ctx context.Context) error {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			defer cur.Add(-1)
-			sum := 0
-			for j := 0; j < 1000; j++ {
-				sum += j
-			}
-			_ = sum
-			return nil
-		}
-	}
-	if err := pipeline.RunJobs(context.Background(), workers, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > workers {
-		t.Errorf("observed %d concurrent jobs, cap %d", p, workers)
-	}
-}
-
-// TestRunJobsCancellation checks a cancelled context stops dispatch and is
-// reported in the aggregate.
+// TestRunJobsCancellation checks that cancelling a suite's context stops
+// dispatch of queued jobs and surfaces the context error.
 func TestRunJobsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
 	release := make(chan struct{})
-	jobs := make([]pipeline.Job, 16)
+	jobs := make([]sched.Job, 16)
 	for i := range jobs {
 		jobs[i] = func(ctx context.Context) error {
 			started.Add(1)
@@ -202,7 +173,7 @@ func TestRunJobsCancellation(t *testing.T) {
 		}
 	}
 	done := make(chan error, 1)
-	go func() { done <- pipeline.RunJobs(ctx, 2, jobs) }()
+	go func() { done <- sched.RunJobs(ctx, 2, jobs) }()
 	cancel()
 	close(release)
 	err := <-done
@@ -266,40 +237,5 @@ int main() {
 	}
 	if res.ExitCode != 0 || res.Stdout != "pipelined" {
 		t.Fatalf("exit %d stdout %q", res.ExitCode, res.Stdout)
-	}
-}
-
-// TestDeprecatedWrappers pins the compatibility contract of the pre-Request
-// API: Build/Exec/Run (and their Context forms) survive as thin wrappers so
-// out-of-tree callers keep compiling, and they must agree with the canonical
-// verbs — same cached module pointer, same output.
-func TestDeprecatedWrappers(t *testing.T) {
-	cm, err := pipeline.Build(addSrc, codegen.Chrome())
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonical, err := pipeline.Compile(context.Background(), &pipeline.Request{Module: addSrc, Config: codegen.Chrome()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm != canonical {
-		t.Error("Build and Compile must share one cache entry")
-	}
-	res, err := pipeline.Exec(cm, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stdout != "42\n" || res.ExitCode != 0 {
-		t.Fatalf("Exec: exit %d stdout %q", res.ExitCode, res.Stdout)
-	}
-	res, err = pipeline.RunContext(context.Background(), addSrc, codegen.Chrome(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stdout != "42\n" {
-		t.Fatalf("RunContext: stdout %q", res.Stdout)
-	}
-	if res.Proc == nil {
-		t.Error("legacy RunResult must keep exposing the process")
 	}
 }

@@ -57,7 +57,7 @@ func dropMemEntry(key string) {
 // instruction and cycle counters.
 func execCounters(t *testing.T, cm *codegen.CompiledModule) (string, uint64, uint64) {
 	t.Helper()
-	res, err := Exec(cm, nil, nil)
+	res, err := Execute(context.Background(), cm, &Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestStoreRoundTripBitIdentical(t *testing.T) {
 	cfg := codegen.Chrome()
 	key := Key(storeProbeSrc, cfg)
 
-	fresh, err := Build(storeProbeSrc, cfg) // miss: compiles and publishes
+	fresh, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}) // miss: compiles and publishes
 	if err != nil {
 		t.Fatal(err)
 	}
 	dropMemEntry(key)
 	before := Stats()
-	loaded, err := Build(storeProbeSrc, cfg) // disk hit
+	loaded, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}) // disk hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,10 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := withTestStore(t, defaultMaxBytes)
-			dropMemEntry(key)                                    // force the publish path against this store
-			if _, err := Build(storeProbeSrc, cfg); err != nil { // publish clean artifact
+			// Force the publish path against this store, then publish a
+			// clean artifact.
+			dropMemEntry(key)
+			if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 				t.Fatal(err)
 			}
 			p := s.path(key)
@@ -170,7 +172,7 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 			dropMemEntry(key)
 
 			before := Stats()
-			cm, err := Build(storeProbeSrc, cfg)
+			cm, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg})
 			if err != nil {
 				t.Fatalf("corrupt artifact surfaced an error: %v", err)
 			}
@@ -186,7 +188,7 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 			// The recompile republishes a clean artifact over the damage.
 			dropMemEntry(key)
 			before = Stats()
-			if _, err := Build(storeProbeSrc, cfg); err != nil {
+			if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 				t.Fatal(err)
 			}
 			if d := Stats().Sub(before); d.DiskHits != 1 {
@@ -212,7 +214,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				cm, err := Build(storeProbeSrc, cfg)
+				cm, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg})
 				if err != nil {
 					errs <- err
 					return
@@ -233,7 +235,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	// The survivor on disk must be a valid artifact.
 	dropMemEntry(key)
 	before := Stats()
-	if _, err := Build(storeProbeSrc, cfg); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if d := Stats().Sub(before); d.DiskHits != 1 {
@@ -312,7 +314,7 @@ func TestStoreEvictionBoundsSize(t *testing.T) {
 		srcs[i] = fmt.Sprintf("int main() { print_int(%d); print_nl(); return 0; }", i*1000)
 	}
 	for _, src := range srcs {
-		if _, err := Build(src, codegen.Native()); err != nil {
+		if _, err := Compile(context.Background(), &Request{Module: src, Config: codegen.Native()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +343,7 @@ func TestStoreEvictionBoundsSize(t *testing.T) {
 	last := Key(srcs[len(srcs)-1], codegen.Native())
 	dropMemEntry(last)
 	before := Stats()
-	if _, err := Build(srcs[len(srcs)-1], codegen.Native()); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: srcs[len(srcs)-1], Config: codegen.Native()}); err != nil {
 		t.Fatal(err)
 	}
 	if d := Stats().Sub(before); d.DiskHits != 1 {
@@ -360,7 +362,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		src := fmt.Sprintf("%s\n// inspect variant %d\n", storeProbeSrc, i)
 		cfg := codegen.Chrome()
-		if _, err := Build(src, cfg); err != nil {
+		if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 		k := Key(src, cfg)
@@ -417,7 +419,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 	// republishes under the same key.
 	dropMemEntry(keys[0])
 	src0 := fmt.Sprintf("%s\n// inspect variant %d\n", storeProbeSrc, 0)
-	if _, err := Build(src0, codegen.Chrome()); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: src0, Config: codegen.Chrome()}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(theStore.path(keys[0])); err != nil {
@@ -475,7 +477,7 @@ func TestSweepLockElectsOneSweeper(t *testing.T) {
 		"int main() { print_int(222); print_nl(); return 0; }",
 	}
 	for _, src := range srcs {
-		if _, err := Build(src, codegen.Native()); err != nil {
+		if _, err := Compile(context.Background(), &Request{Module: src, Config: codegen.Native()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -495,7 +497,7 @@ func TestSweepLockElectsOneSweeper(t *testing.T) {
 	if err := os.Remove(lock); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build("int main() { print_int(333); print_nl(); return 0; }", codegen.Native()); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: "int main() { print_int(333); print_nl(); return 0; }", Config: codegen.Native()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 0 {
@@ -521,7 +523,7 @@ func TestSweepLockStaleSentinelIsStolen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Build("int main() { print_int(444); print_nl(); return 0; }", codegen.Native()); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: "int main() { print_int(444); print_nl(); return 0; }", Config: codegen.Native()}); err != nil {
 		t.Fatal(err)
 	}
 	files, err := s.scan(time.Now())
@@ -595,7 +597,7 @@ func TestQuarantineKeepsCorruptArtifact(t *testing.T) {
 	key := Key(storeProbeSrc, cfg)
 	s := withTestStore(t, defaultMaxBytes)
 	dropMemEntry(key)
-	if _, err := Build(storeProbeSrc, cfg); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	p := s.path(key)
@@ -609,7 +611,7 @@ func TestQuarantineKeepsCorruptArtifact(t *testing.T) {
 	dropMemEntry(key)
 
 	before := Stats()
-	if _, err := Build(storeProbeSrc, cfg); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 		t.Fatalf("corrupt artifact surfaced an error: %v", err)
 	}
 	d := Stats().Sub(before)

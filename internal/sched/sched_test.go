@@ -145,6 +145,36 @@ func TestRunJobsParallelismWithinBudget(t *testing.T) {
 	}
 }
 
+// TestRunJobsBounded pins the worker cap: with budget to spare, concurrency
+// never exceeds the requested worker count.
+func TestRunJobsBounded(t *testing.T) {
+	const workers = 3
+	withCapacity(t, 8)
+
+	var inFlight, peak atomic.Int64
+	jobs := make([]Job, 24)
+	for i := range jobs {
+		jobs[i] = func(context.Context) error {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(200 * time.Microsecond)
+			return nil
+		}
+	}
+	if err := RunJobs(context.Background(), workers, jobs); err != nil {
+		t.Fatalf("RunJobs: %v", err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("observed %d concurrent jobs, cap %d", p, workers)
+	}
+}
+
 // TestRunJobsNestedStaysWithinBudget fans out a suite whose jobs each fan
 // out again, the shape of a cold suite start (RunJobs -> per-function
 // compile). Total parallelism across both layers must respect the one
@@ -211,9 +241,12 @@ func TestRunJobsAggregatesAllErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("RunJobs returned nil with failing jobs")
 	}
-	for _, want := range []string{"job 0 failed", "job 3 failed", "job 6 failed", "job 9 failed"} {
+	wants := []string{"job 0 failed", "job 3 failed", "job 6 failed", "job 9 failed"}
+	for i, want := range wants {
 		if !errorsContains(err, want) {
 			t.Errorf("aggregate error missing %q: %v", want, err)
+		} else if i > 0 && strings.Index(err.Error(), wants[i-1]) > strings.Index(err.Error(), want) {
+			t.Errorf("errors not in job order: %v", err)
 		}
 	}
 }

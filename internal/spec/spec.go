@@ -383,11 +383,11 @@ func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cf
 	}
 	var mu sync.Mutex
 	var failures []FailedRun
-	jobs := make([]pipeline.WeightedJob, 0, len(ws)*len(cfgs))
+	jobs := make([]sched.WeightedJob, 0, len(ws)*len(cfgs))
 	for wi := range ws {
 		for ci := range cfgs {
 			wi, ci := wi, ci
-			jobs = append(jobs, pipeline.WeightedJob{Weight: ws[wi].ExpectedInstructions(), Run: func(ctx context.Context) error {
+			jobs = append(jobs, sched.WeightedJob{Weight: ws[wi].ExpectedInstructions(), Run: func(ctx context.Context) error {
 				if err := ctx.Err(); err != nil {
 					return nil // the scheduler reports the cancellation
 				}
@@ -444,7 +444,7 @@ func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cf
 	// Weighted dispatch: heavy workloads (by expected simulated
 	// instructions) are claimed first, so one long SPEC program overlaps
 	// the cheap Polybench kernels instead of starting after them.
-	err := pipeline.RunJobsWeighted(ctx, h.Workers, jobs)
+	err := sched.RunJobsWeighted(ctx, h.Workers, jobs)
 	if h.Logf != nil {
 		h.Logf("spec suite (%d workloads × %d engines) cache: %v",
 			len(ws), len(cfgs), pipeline.Stats().Sub(before))

@@ -10,6 +10,7 @@ import (
 	"context"
 
 	"repro/internal/codegen"
+	"repro/internal/kernel"
 	"repro/internal/minic"
 	"repro/internal/pipeline"
 	"repro/internal/wasm"
@@ -32,7 +33,11 @@ func BuildWasm(src string) (*wasm.Module, error) {
 }
 
 // RunResult captures one program execution under the kernel.
-type RunResult = pipeline.RunResult
+type RunResult struct {
+	ExitCode int
+	Stdout   string
+	Proc     *kernel.Process
+}
 
 // Run builds src for cfg (cached), registers it in a fresh kernel over fs
 // contents, spawns it with argv, and waits for completion.

@@ -74,11 +74,11 @@ func RunDifferential(ctx context.Context, suite []*Workload, cfgs []*codegen.Eng
 		failed[wi] = make([]bool, len(cfgs))
 	}
 	var mu sync.Mutex
-	jobs := make([]pipeline.WeightedJob, 0, rep.Rows)
+	jobs := make([]sched.WeightedJob, 0, rep.Rows)
 	for wi := range suite {
 		for ci := range cfgs {
 			wi, ci := wi, ci
-			jobs = append(jobs, pipeline.WeightedJob{Weight: suite[wi].ExpectedInstructions(), Run: func(ctx context.Context) error {
+			jobs = append(jobs, sched.WeightedJob{Weight: suite[wi].ExpectedInstructions(), Run: func(ctx context.Context) error {
 				if err := ctx.Err(); err != nil {
 					return nil // the scheduler reports the cancellation
 				}
@@ -109,7 +109,7 @@ func RunDifferential(ctx context.Context, suite []*Workload, cfgs []*codegen.Eng
 			}})
 		}
 	}
-	err := pipeline.RunJobsWeighted(ctx, 0, jobs)
+	err := sched.RunJobsWeighted(ctx, 0, jobs)
 	if err != nil && !degraded {
 		return nil, err
 	}
